@@ -18,8 +18,10 @@ Measures what serving costs and buys relative to the in-process engine:
 - **session_batch**: the multi-tenant SessionBatch sweep — aggregate
   steps/s of 1/16/256/4096 same-cohort sessions advanced in vectorized
   ticks (in-process, feed region only), against a serial baseline that
-  feeds the same 256 sessions one at a time; ``speedup_vs_serial_x``
-  is the engine-layer batching win in isolation;
+  feeds the same 256 sessions one at a time, each through its own
+  engine's time-axis scan; ``speedup_vs_serial_x`` is what batching
+  across sessions adds on top of scanning each session alone (recorded,
+  not gated);
 - **supervisor_hop**: loadgen throughput of one session against a
   single-process server vs a 1-shard supervisor, per wire version —
   ``overhead_x`` isolates what the extra supervisor hop costs, and the
@@ -130,14 +132,18 @@ DURABILITY_ROUNDS = 5
 #: advanced in vectorized ticks, vs the same S sessions fed one at a
 #: time on the serial path.  In-process on purpose — the cell isolates
 #: the engine-layer batching win from transport and coalescing effects
-#: (the scaling/shard sweeps keep covering those).  CI shrinks only T:
-#: the session counts ARE the grid (per-session-count cells gate in the
-#: regression check), and the chunk size shapes per-tick overhead.
+#: (the scaling/shard sweeps keep covering those).  CI runs the full
+#: grid: the session counts ARE the grid (per-session-count cells gate
+#: in the regression check), the chunk size shapes per-tick overhead,
+#: and T shapes steps/s too — each engine's time-axis scan amortizes
+#: step 0 and the first escalations over the horizon, so at T=300 the
+#: cells read about 0.7x of the T=1000 ones on the same host.
 FULL_BATCH = (1_000, (1, 16, 256, 4096), 8, 2, 0.1, 64)
-CI_BATCH = (300, (1, 16, 256, 4096), 8, 2, 0.1, 64)
+CI_BATCH = FULL_BATCH
 
-#: Session count of the serial baseline the batched sweep is judged
-#: against (the acceptance gate: batched aggregate >= 5x serial here).
+#: Session count of the serial baseline the batched sweep is compared
+#: with.  The ratio is recorded as ``speedup_vs_serial_x``;
+#: ``check_regression.py`` gates each cell's own steps/s, not the ratio.
 BATCH_BASELINE_SESSIONS = 256
 
 #: In-flight feed window for pipelined (v2) cells.
@@ -319,8 +325,9 @@ def bench_session_batch(
     feed calls are on the clock, in ``chunk``-step blocks per session so
     a 4096-session cell never materializes its full horizon at once.
     The serial baseline feeds the *same* sessions the same blocks one at
-    a time — the per-session results are bit-identical by the cohort
-    law, so the ratio is pure dispatch overhead vs vectorization.
+    a time, each scanned along its own time axis — the per-session
+    results are bit-identical by the cohort law, so the ratio is what
+    vectorizing across sessions adds to the per-session scan.
     """
     spec = {"algorithm": ALGORITHM, "n": n, "k": k, "eps": eps}
 

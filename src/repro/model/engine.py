@@ -25,16 +25,32 @@ the latter receive the :class:`~repro.model.node.NodeArray` (they are
 omniscient by definition — "the adversary knows the algorithm's code, the
 current state of each node and the server", Sect. 2.1).
 
-The non-check loop has a vectorized fast path (the sweep runner drives
-thousands of such runs, see docs/ARCHITECTURE.md):
+One stepping core serves both entry points: :meth:`MonitoringEngine._scan`
+walks a ``(B, n)`` block along the time axis.  By the filter law
+(Observation 2.2) an algorithm does not act on a step where every value
+stays inside its filter, and the quiet-step contract
+(:meth:`~repro.model.protocol.MonitoringAlgorithm.quiet_step_rounds`)
+pins what such a step costs.  So one containment test of a window of
+upcoming rows finds the next escalating row; the quiet rows before it
+are replayed in bulk (:meth:`MonitoringEngine._record_quiet_steps`) and
+only the escalating row runs the full per-step ``_step``.  :meth:`run`
+reaches the core through the source's ``iter_blocks()`` (traces and
+streaming sources); adaptive adversaries, which pick each step's values
+from the node state, ``check=True`` runs, irregular outputs and
+algorithms that opt out of the contract call ``_step`` on every row.
+Every path ends in the same state, down to the pickle bytes
+(``tests/model/test_engine_scan.py``).
 
-- sources that declare ``prevalidated = True`` skip the per-step
-  shape/finiteness re-checks in :meth:`NodeArray.deliver` —
-  :class:`~repro.streams.base.Trace` validates the whole matrix at
-  construction, :class:`~repro.streams.streaming.StreamingSource`
-  validates each lazily generated block once on arrival, and
-  :meth:`MonitoringEngine.advance` validates each pushed block once on
-  entry;
+Around the core (the sweep runner drives thousands of runs, see
+docs/ARCHITECTURE.md):
+
+- blocks are shape-checked once per :meth:`MonitoringEngine.advance`
+  call and finiteness-checked once unless the caller vouches for them
+  (``prevalidated=True``) — :class:`~repro.streams.base.Trace`
+  validates the whole matrix at construction and
+  :class:`~repro.streams.streaming.StreamingSource` each lazily
+  generated block on arrival; per-row adversary values are checked on
+  delivery unless the source declares ``prevalidated = True``;
 - filter-containment tests are served from the node array's cached batch
   (recomputed once per state version, not per query);
 - outputs are recorded as rows of a preallocated ``(T, k)`` int array
@@ -75,6 +91,13 @@ __all__ = ["ValueSource", "MonitoringEngine", "EngineBatch", "RunResult"]
 #: ``expect_steps``); grown by doubling.
 _INITIAL_ROWS = 1024
 
+#: First and largest window (rows) of the time-axis scan; see
+#: ``MonitoringEngine._scan``.  The cap bounds the scan's temporaries on
+#: long traces; at 1024 rows the per-window numpy overhead is already
+#: amortized to nothing.
+_SCAN_WINDOW = 4
+_SCAN_MAX_WINDOW = 1024
+
 
 @runtime_checkable
 class ValueSource(Protocol):
@@ -92,6 +115,10 @@ class ValueSource(Protocol):
     - ``reset()``: called once at the start of every run, letting
       single-pass sources rewind so one source object supports repeated
       runs.
+    - ``iter_blocks()``: a fresh pass over all ``T`` rows as ``(B_i, n)``
+      blocks.  Sources that have it ignore the node state, and
+      :meth:`MonitoringEngine.run` scans their blocks instead of asking
+      for one row per step.
     """
 
     @property
@@ -250,6 +277,14 @@ class MonitoringEngine:
         self._irregular = False
         self._outputs_list: list[frozenset[int]] = []
         self._previous: frozenset[int] | None = None
+        self._reset_tallies()
+
+    def _reset_tallies(self) -> None:
+        #: Steps replayed as quiet bookkeeping / run through the full
+        #: ``_step``, whoever drove them.  Observability only: excluded
+        #: from pickles, so checkpoint bytes do not depend on them.
+        self.quiet_steps = 0
+        self.escalated_steps = 0
 
     # ------------------------------------------------------------------ #
     # One-shot wrapper
@@ -267,10 +302,17 @@ class MonitoringEngine:
             reset()  # streaming sources rewind to step 0 for this run
         T = source.num_steps
         self.start(expect_steps=T)
-        validate = not bool(getattr(source, "prevalidated", False))
-        nodes, step = self.nodes, self._step
-        for t in range(T):
-            step(source.values(t, nodes), validate)
+        prevalidated = bool(getattr(source, "prevalidated", False))
+        iter_blocks = getattr(source, "iter_blocks", None)
+        if iter_blocks is not None:
+            for block in iter_blocks():
+                self.advance(block, prevalidated=prevalidated)
+        else:
+            # Adaptive adversaries pick step t's values from the node
+            # state after step t-1, so there is no block to scan ahead.
+            nodes, step = self.nodes, self._step
+            for t in range(T):
+                step(source.values(t, nodes), not prevalidated)
         return self.finalize()
 
     # ------------------------------------------------------------------ #
@@ -292,32 +334,28 @@ class MonitoringEngine:
             self._rows = np.empty((int(capacity), self.k), dtype=np.int64)
 
     def advance(self, block: np.ndarray, *, prevalidated: bool = False) -> int:
-        """Consume a ``(B, n)`` block of observations, one step per row.
+        """Consume a ``(B, n)`` block of observations, one time step per row.
 
-        The block is shape/finiteness-checked once on entry (skipped for
-        ``prevalidated=True`` blocks, e.g. rows already validated by a
-        :class:`~repro.streams.streaming.StreamingSource`), then every
-        row takes the same validation-free delivery fast path as a
-        prevalidated source under :meth:`run`.  Returns the total number
-        of steps consumed so far.
+        A 1-D block is a single step.  The shape is checked on every
+        call; the finiteness pass is skipped for ``prevalidated=True``
+        blocks (e.g. rows already validated by a
+        :class:`~repro.streams.streaming.StreamingSource`).  The rows
+        then go through the time-axis scan (:meth:`_scan`): quiet runs
+        are replayed in bulk and only escalating rows run the full
+        step.  Returns the total number of steps consumed so far.
         """
         if not self._started:
             raise RuntimeError("call start() before advance()")
         if self._finalized:
             raise RuntimeError("engine already finalized")
-        if not prevalidated:
-            block = np.asarray(block, dtype=np.float64)
-            if block.ndim == 1:  # a single step is a 1-row block
-                block = block[None, :]
-            if block.ndim != 2 or block.shape[1] != self.nodes.n:
-                raise ValueError(
-                    f"block must have shape (B, {self.nodes.n}), got {block.shape}"
-                )
-            if not np.all(np.isfinite(block)):
-                raise ValueError("stream values must be finite")
-        step = self._step
-        for row in block:
-            step(row, False)
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim == 1:  # a single step is a 1-row block
+            block = block[None, :]
+        if block.ndim != 2 or block.shape[1] != self.nodes.n:
+            raise ValueError(f"block must have shape (B, {self.nodes.n}), got {block.shape}")
+        if not prevalidated and not np.all(np.isfinite(block)):
+            raise ValueError("stream values must be finite")
+        self._scan(block)
         return self._t
 
     def finalize(self) -> RunResult:
@@ -396,8 +434,57 @@ class MonitoringEngine:
         return self._changes
 
     # ------------------------------------------------------------------ #
-    # The per-step core (shared by run() and advance())
+    # The stepping core (shared by run() and advance())
     # ------------------------------------------------------------------ #
+    def _scan(self, block: np.ndarray) -> None:
+        """Advance through the rows of a validated ``(B, n)`` block.
+
+        Filters cannot change on a quiet step (the quiet-step contract of
+        :meth:`~repro.model.protocol.MonitoringAlgorithm.quiet_step_rounds`),
+        so one containment test of a ``(w, n)`` window of upcoming rows
+        against the standing filters finds the next escalating row.  The
+        quiet rows before it are replayed in bulk
+        (:meth:`_record_quiet_steps`, after writing the last of them into
+        the node values) and the escalating row runs the full
+        :meth:`_step`.  The window starts at ``_SCAN_WINDOW`` rows,
+        doubles after each all-quiet window (up to ``_SCAN_MAX_WINDOW``)
+        and resets on escalation, so quiet streams are read in long
+        strides and chatty ones waste at most a few rows of tests per
+        step.  Step 0 (``on_start``),
+        irregular outputs, ``check=True`` and algorithms that opt out of
+        the contract take :meth:`_step` on every row.
+        """
+        rounds = None if self.check else self.algorithm.quiet_step_rounds()
+        step = self._step
+        start = 0
+        if rounds is not None:
+            if self._t == 0 and block.shape[0]:
+                step(block[0], False)
+                start = 1
+            nodes = self.nodes
+            total = block.shape[0]
+            window = _SCAN_WINDOW
+            while start < total and not self._irregular:
+                rows = block[start : start + window]
+                # The strict comparisons of NodeArray._refresh_violations:
+                # a value equal to a filter bound is inside the filter.
+                hit = ((rows > nodes.filter_hi) | (rows < nodes.filter_lo)).any(axis=1)
+                quiet = int(hit.argmax())  # the first violating row, if any
+                if not hit[quiet]:
+                    quiet = rows.shape[0]
+                if quiet:
+                    nodes.values[:] = rows[quiet - 1]
+                    self._record_quiet_steps(quiet, rounds)
+                    start += quiet
+                if quiet < rows.shape[0]:
+                    step(block[start], False)
+                    start += 1
+                    window = _SCAN_WINDOW
+                elif window < _SCAN_MAX_WINDOW:
+                    window *= 2
+        for row in block[start:]:
+            step(row, False)
+
     def _step(self, values: np.ndarray, validate: bool) -> None:
         ledger = self.ledger
         algorithm = self.algorithm
@@ -435,6 +522,9 @@ class MonitoringEngine:
                     self._changes = _count_changes(done)
                     self._outputs_list = [frozenset(r) for r in done.tolist()]
                     self._previous = self._outputs_list[-1] if t else None
+                    # The list takes over; dropping the buffer keeps its
+                    # unwritten rows out of checkpoint bytes.
+                    self._rows = None
                 elif self._prev_row is not None:
                     self._previous = frozenset(self._prev_row.tolist())
             if record:
@@ -443,6 +533,7 @@ class MonitoringEngine:
                 self._changes += 1
             self._previous = out
         self._t = t + 1
+        self.escalated_steps += 1
         if self.check:
             self._verify(t, out)
 
@@ -460,9 +551,10 @@ class MonitoringEngine:
     def _record_quiet_steps(self, count: int, rounds_per_step: int) -> None:
         """Replay the bookkeeping of ``count`` violation-free steps at once.
 
-        The batch pass (:class:`EngineBatch`) already wrote the values into
-        this engine's node state and proved, step by step, that none of
-        them violated the standing filters — so the algorithm was never
+        The caller (the time-axis scan :meth:`_scan`, or the cross-session
+        :class:`EngineBatch`) already wrote the values into this engine's
+        node state and proved, step by step, that none of them violated
+        the standing filters — so the algorithm was never
         entitled to act, the output is unchanged, and what remains of the
         serial ``_step`` sequence is pure accounting: the ledger's
         begin/rounds/end pattern, ``count`` repeats of the previous output
@@ -489,6 +581,7 @@ class MonitoringEngine:
         # clock still has to advance one tick per step.
         self.nodes.advance_version(count)
         self._t = t + count
+        self.quiet_steps += count
 
     # ------------------------------------------------------------------ #
     # Pickling (session checkpoints)
@@ -500,6 +593,7 @@ class MonitoringEngine:
         # cross-topology differential harness asserts blobs bit-identical
         # across restore/migrate histories, which needs this canonical form.
         state = self.__dict__.copy()
+        del state["quiet_steps"], state["escalated_steps"]
         rows = state["_rows"]
         if rows is not None:
             state["_rows"] = rows[: self._t].copy()
@@ -512,6 +606,7 @@ class MonitoringEngine:
         # re-pickles with different string memoization and the blob bytes
         # drift from an uninterrupted run's.
         self.__dict__.update({sys.intern(key): value for key, value in state.items()})
+        self._reset_tallies()
 
     # ------------------------------------------------------------------ #
     def _verify(self, t: int, out: frozenset[int]) -> None:
@@ -582,11 +677,6 @@ class EngineBatch:
         # Step 0 must run on_start; irregular members re-arm this forever.
         self._force = np.fromiter((e.steps_done == 0 for e in engines), dtype=bool, count=S)
         self._active = np.ones(S, dtype=bool)
-        #: member-steps classified quiet vs escalated by the vectorized
-        #: precheck — observability only, never pickled (the batch is
-        #: ephemeral), read by the service layer after each tick.
-        self.quiet_member_steps = 0
-        self.escalated_member_steps = 0
         self._bound = True
         for i, engine in enumerate(engines):
             engine.nodes.bind_rows(self._values[i], self._lo[i], self._hi[i])
@@ -617,8 +707,6 @@ class EngineBatch:
             np.logical_or(self._above, self._below, out=self._viol)
             escalate = (self._viol.any(axis=1) | force) & active
             quiet = active & ~escalate
-            self.quiet_member_steps += int(np.count_nonzero(quiet))
-            self.escalated_member_steps += int(np.count_nonzero(escalate))
             # Quiet members: land the values; bookkeeping is replayed in
             # bulk when the member next escalates (or at block end).
             np.copyto(self._values, step_vals, where=quiet[:, None])

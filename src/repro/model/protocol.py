@@ -2,11 +2,13 @@
 
 An algorithm is the *server* of the paper: it owns an output set ``F(t)``
 of ``k`` node ids, assigns filters through its :class:`Channel`, and reacts
-to filter-violations.  The engine drives it with one call per time step;
-within that call the algorithm may run as many protocol rounds as it needs
-to *settle* — i.e. to reach a state where no node violates its assigned
-filter — before the next observations arrive (the model allows polylog
-rounds between steps; the ledger audits this).
+to filter-violations.  The engine drives it with one call per time step
+(violation-free steps of an algorithm that declares
+:meth:`~MonitoringAlgorithm.quiet_step_rounds` are replayed without the
+call); within that call the algorithm may run as many protocol rounds as
+it needs to *settle* — i.e. to reach a state where no node violates its
+assigned filter — before the next observations arrive (the model allows
+polylog rounds between steps; the ledger audits this).
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class MonitoringAlgorithm(ABC):
         return 0
 
     # ------------------------------------------------------------------ #
-    # Batch fast-path contract
+    # Quiet-step contract
     # ------------------------------------------------------------------ #
     def quiet_step_rounds(self) -> int | None:
         """Fixed round cost of a violation-free :meth:`on_step`, or ``None``.
@@ -90,12 +92,13 @@ class MonitoringAlgorithm(ABC):
         charges exactly ``R`` protocol rounds, zero messages, draws no
         randomness from the channel RNG, and mutates no algorithm or
         filter state (so :meth:`output` is unchanged).  The engine's
-        multi-session batch path (:class:`repro.model.engine.EngineBatch`)
-        relies on this to replay quiet steps as pure bookkeeping without
-        calling the algorithm — bit-identically to the serial loop.
+        time-axis scan (``MonitoringEngine._scan``) and its multi-session
+        batch path (:class:`repro.model.engine.EngineBatch`) rely on this
+        to replay quiet steps as pure bookkeeping without calling the
+        algorithm — bit-identically to the per-row loop.
 
         ``None`` (the default) opts out: every step runs through
-        :meth:`on_step` even inside a batch.
+        :meth:`on_step`.
         """
         return None
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -613,9 +614,7 @@ class MonitoringServer:
             if self.batching and prevalidated and session.batchable:
                 step, messages = await self._feed_batched(session, block)
             else:
-                step, messages = await self._run_sync(
-                    self._feed_serial, session, block, prevalidated
-                )
+                step, messages = await self._feed_serial(session, block, prevalidated)
             # Logged inside the lock so the post-op step pairs with this
             # exact block — the replay idempotence key.
             self._wal_append(
@@ -661,9 +660,22 @@ class MonitoringServer:
             return await self._run_sync(wire.decode_values, payload)
         return wire.decode_values(payload)
 
-    @staticmethod
-    def _feed_serial(session: Session, block: np.ndarray, prevalidated: bool) -> tuple[int, int]:
-        step = session.feed(block, prevalidated=prevalidated)
+    async def _feed_serial(
+        self, session: Session, block: np.ndarray, prevalidated: bool
+    ) -> tuple[int, int]:
+        """Feed one block through the session's own engine, off the loop.
+
+        The engine's scan tallies its quiet and escalated steps; with
+        telemetry on, the deltas feed the same fleet counters as the
+        batched ticks.  The caller holds the session's slot lock, so no
+        other feed moves the tallies in between.
+        """
+        engine = session.engine
+        quiet, escalated = engine.quiet_steps, engine.escalated_steps
+        step = await self._run_sync(partial(session.feed, prevalidated=prevalidated), block)
+        if self.metrics.enabled:
+            self._c_quiet.inc(engine.quiet_steps - quiet)
+            self._c_escalated.inc(engine.escalated_steps - escalated)
         return step, session.messages
 
     async def _feed_batched(self, session: Session, block: np.ndarray) -> tuple[int, int]:
@@ -701,7 +713,7 @@ class MonitoringServer:
                 if len(entries) == 1:
                     session, block, future = entries[0]
                     try:
-                        result = await self._run_sync(self._feed_serial, session, block, True)
+                        result = await self._feed_serial(session, block, True)
                     except Exception as exc:
                         if not future.done():  # a dropped feeder cancels its future
                             future.set_exception(exc)

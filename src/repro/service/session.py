@@ -404,9 +404,10 @@ class SessionBatch:
         #: vectorized ticks served / steps they advanced (server stats)
         self.ticks = 0
         self.batched_steps = 0
-        #: member-steps that took the vectorized quiet path vs the
-        #: serial ``_step`` (violations, step 0, mid-feed fall-offs) —
-        #: the live form of the paper's quiet/escalation split.
+        #: member-steps replayed as quiet bookkeeping vs run through the
+        #: full ``_step`` (violations, step 0, opt-outs), summed from the
+        #: engines' own tallies — the live form of the paper's
+        #: quiet/escalation split.
         self.quiet_steps = 0
         self.escalated_steps = 0
 
@@ -448,17 +449,16 @@ class SessionBatch:
             "duplicate session in one tick — the per-session lock should prevent this"
         )
         results: list[tuple[int, int] | Exception | None] = [None] * len(entries)
+        engines = [session.engine for session, _ in entries]
+        tallies = [(engine.quiet_steps, engine.escalated_steps) for engine in engines]
 
         def finish_serial(idx: int, session: Session, tail: np.ndarray) -> None:
-            before = session.step
             try:
                 session.feed(tail, prevalidated=True)
             except Exception as exc:  # noqa: BLE001 — per-entry isolation
                 results[idx] = exc
             else:
                 results[idx] = (session.step, session.messages)
-            finally:
-                self.escalated_steps += session.step - before
 
         live = [(idx, session, block, 0) for idx, (session, block) in enumerate(entries)]
         while live:
@@ -482,8 +482,6 @@ class SessionBatch:
                 )
             finally:
                 batch.close()
-                self.quiet_steps += batch.quiet_member_steps
-                self.escalated_steps += batch.escalated_member_steps
             self.ticks += 1
             live = []
             for (idx, session, block, offset), error in zip(ready, errors):
@@ -496,6 +494,9 @@ class SessionBatch:
                     results[idx] = (session.step, session.messages)
                 else:
                     live.append((idx, session, block, offset))
+        for engine, (quiet, escalated) in zip(engines, tallies):
+            self.quiet_steps += engine.quiet_steps - quiet
+            self.escalated_steps += engine.escalated_steps - escalated
         return results  # type: ignore[return-value] — every slot was filled above
 
 

@@ -10,6 +10,8 @@ does.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.model.invariants import kth_largest
@@ -60,6 +62,10 @@ class Trace:
     def values(self, t: int, nodes: NodeArray) -> np.ndarray:  # noqa: ARG002 - trace ignores node state
         """Row ``t`` (the engine's per-step delivery)."""
         return self._data[t]
+
+    def iter_blocks(self) -> Iterator[np.ndarray]:
+        """The whole matrix as one block (as ``StreamingSource.iter_blocks``)."""
+        yield self._data
 
     # ------------------------------------------------------------------ #
     # Raw access & ground truth (omniscient: for OPT, tests, analysis)

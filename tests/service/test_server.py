@@ -280,6 +280,37 @@ class TestSmallOpFastPath:
         assert MonitoringServer.INLINE_OPS <= set(MonitoringServer._OPS)
 
 
+class TestQuietStepCounters:
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_serial_feeds_count_quiet_and_escalated_steps(self, reference, batching):
+        """A lone session's feeds take the serial path either way (a
+        one-entry cohort tick or no coalescing at all); the engine's
+        scan tallies reach the fleet counters while telemetry is on."""
+        _ref, blocks = reference
+
+        def tallies(reply):
+            counters = reply["metrics"]["counters"]
+            return (
+                counters.get("repro_quiet_steps_total", 0),
+                counters.get("repro_escalated_steps_total", 0),
+            )
+
+        async def scenario(server, client):
+            await client.set_batching(batching)
+            sid = await client.create_session(**spec())
+            for block in blocks:
+                await client.feed(sid, block)
+            quiet, escalated = tallies(await client.metrics())
+            assert quiet + escalated == T
+            assert quiet > escalated > 0
+            await client.metrics(enabled=False)
+            other = await client.create_session(**spec(seed=4))
+            await client.feed(other, blocks[0])
+            assert tallies(await client.metrics()) == (quiet, escalated)
+
+        served(scenario)
+
+
 class TestConcurrency:
     def test_concurrent_sessions_are_isolated(self, reference):
         """Interleaved clients on distinct sessions reproduce serial runs."""

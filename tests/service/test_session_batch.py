@@ -108,6 +108,13 @@ class TestCohortLaw:
                 assert result == (step, twin.messages)
         for got, want in zip(batched, serial):
             assert_twin(got, want)
+        # The batch classifies each member-step exactly as the serial
+        # twins' own time-axis scans do.
+        assert batch.quiet_steps + batch.escalated_steps == S * T
+        assert (batch.quiet_steps, batch.escalated_steps) == (
+            sum(twin.engine.quiet_steps for twin in serial),
+            sum(twin.engine.escalated_steps for twin in serial),
+        )
         for got, want in zip(batched, serial):
             a, b = got.finalize(), want.finalize()
             assert a.messages == b.messages
