@@ -15,13 +15,10 @@ Measures what serving costs and buys relative to the in-process engine:
   generator at concurrency N (v2 + pipelining, the serving default) —
   how aggregate steps/s behaves as the session count grows, with
   p50/p95/p99 request latency per cell;
-- **session_batch**: the multi-tenant SessionBatch sweep — aggregate
-  steps/s of 1/16/256/4096 same-cohort sessions advanced in vectorized
-  ticks (in-process, feed region only), against a serial baseline that
-  feeds the same 256 sessions one at a time, each through its own
-  engine's time-axis scan; ``speedup_vs_serial_x`` is what batching
-  across sessions adds on top of scanning each session alone (recorded,
-  not gated);
+- **session_batch**: the SessionBatch sweep — aggregate steps/s of
+  1/16/256/4096 same-cohort sessions fed through ``feed_batch`` ticks
+  (in-process, feed region only); a tick is each session's own serial
+  feed, so the sweep measures the per-session time-axis scan at scale;
 - **supervisor_hop**: loadgen throughput of one session against a
   single-process server vs a 1-shard supervisor, per wire version —
   ``overhead_x`` isolates what the extra supervisor hop costs, and the
@@ -127,24 +124,18 @@ METRICS_ROUNDS = 5
 #: (and horizon) as the metrics cell.
 DURABILITY_ROUNDS = 5
 
-#: (T per session, session counts, n, k, eps, chunk) of the multi-tenant
-#: SessionBatch sweep: aggregate steps/s of S same-cohort sessions
-#: advanced in vectorized ticks, vs the same S sessions fed one at a
-#: time on the serial path.  In-process on purpose — the cell isolates
-#: the engine-layer batching win from transport and coalescing effects
-#: (the scaling/shard sweeps keep covering those).  CI runs the full
-#: grid: the session counts ARE the grid (per-session-count cells gate
-#: in the regression check), the chunk size shapes per-tick overhead,
-#: and T shapes steps/s too — each engine's time-axis scan amortizes
-#: step 0 and the first escalations over the horizon, so at T=300 the
-#: cells read about 0.7x of the T=1000 ones on the same host.
+#: (T per session, session counts, n, k, eps, chunk) of the SessionBatch
+#: sweep: aggregate steps/s of S same-cohort sessions fed through
+#: ``feed_batch`` ticks.  In-process on purpose — the cell isolates the
+#: engine work of a tick from transport and coalescing effects (the
+#: scaling/shard sweeps keep covering those).  CI runs the full grid:
+#: the session counts ARE the grid (per-session-count cells gate in the
+#: regression check), the chunk size shapes per-tick overhead, and T
+#: shapes steps/s too — each engine's time-axis scan amortizes step 0
+#: and the first escalations over the horizon, so at T=300 the cells
+#: read about 0.7x of the T=1000 ones on the same host.
 FULL_BATCH = (1_000, (1, 16, 256, 4096), 8, 2, 0.1, 64)
 CI_BATCH = FULL_BATCH
-
-#: Session count of the serial baseline the batched sweep is compared
-#: with.  The ratio is recorded as ``speedup_vs_serial_x``;
-#: ``check_regression.py`` gates each cell's own steps/s, not the ratio.
-BATCH_BASELINE_SESSIONS = 256
 
 #: In-flight feed window for pipelined (v2) cells.
 PIPELINE = 16
@@ -317,21 +308,17 @@ def bench_scaling(host: str, port: int, T: int, counts: tuple[int, ...],
 def bench_session_batch(
     T: int, counts: tuple[int, ...], n: int, k: int, eps: float, chunk: int
 ) -> dict:
-    """Aggregate steps/s of S cohort sessions, batched vs fed serially.
+    """Aggregate steps/s of S cohort sessions fed through ``feed_batch``.
 
     Every session monitors its own random-walk stream (rare jumps keep
-    escalations ~1-2% of steps — the quiet-dominated regime batching is
-    built for).  Generation happens outside the timed region; only the
-    feed calls are on the clock, in ``chunk``-step blocks per session so
-    a 4096-session cell never materializes its full horizon at once.
-    The serial baseline feeds the *same* sessions the same blocks one at
-    a time, each scanned along its own time axis — the per-session
-    results are bit-identical by the cohort law, so the ratio is what
-    vectorizing across sessions adds to the per-session scan.
+    escalations ~1-2% of steps — the quiet-dominated regime).
+    Generation happens outside the timed region; only the ``feed_batch``
+    calls are on the clock, in ``chunk``-step blocks per session so a
+    4096-session cell never materializes its full horizon at once.
     """
     spec = {"algorithm": ALGORITHM, "n": n, "k": k, "eps": eps}
 
-    def run(S: int, batched: bool) -> dict:
+    def run(S: int) -> dict:
         sessions = [session_from_wire({**spec, "seed": i}) for i in range(S)]
         batch = SessionBatch(sessions[0].cohort_key)
         rng = np.random.default_rng(0)
@@ -346,11 +333,7 @@ def bench_session_batch(
             levels = values[-1]
             blocks = [np.ascontiguousarray(values[:, i, :]) for i in range(S)]
             start = time.perf_counter()
-            if batched:
-                batch.feed_batch(list(zip(sessions, blocks)))
-            else:
-                for session, rows_block in zip(sessions, blocks):
-                    session.feed(rows_block, prevalidated=True)
+            batch.feed_batch(list(zip(sessions, blocks)))
             elapsed += time.perf_counter() - start
         total = S * T
         return {
@@ -361,23 +344,12 @@ def bench_session_batch(
             "aggregate_steps_per_s": round(total / elapsed) if elapsed else None,
         }
 
-    run(4, True)  # warm numpy/engine first-call paths off the clock
-    cells = {str(S): run(S, True) for S in counts}
-    baseline = run(BATCH_BASELINE_SESSIONS, False)
-    report = {
+    run(4)  # warm numpy/engine first-call paths off the clock
+    return {
         "T": T,
         "chunk": chunk,
-        "sessions": cells,
-        "serial_baseline": baseline,
+        "sessions": {str(S): run(S) for S in counts},
     }
-    batched_at_baseline = cells.get(str(BATCH_BASELINE_SESSIONS))
-    if batched_at_baseline and baseline["aggregate_steps_per_s"]:
-        report["speedup_vs_serial_x"] = round(
-            batched_at_baseline["aggregate_steps_per_s"]
-            / baseline["aggregate_steps_per_s"],
-            2,
-        )
-    return report
 
 
 def _drain_or_kill(process, port: int) -> None:
@@ -726,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     clean = clean and all(row["clean_shutdown"] for row in shard_scaling.values())
 
     report = {
-        "schema": 6,
+        "schema": 7,
         "mode": "ci" if args.ci else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -800,9 +772,6 @@ def main(argv: list[str] | None = None) -> int:
     for sessions, cell in session_batch["sessions"].items():
         print(f"  batch x {sessions:>4} sessions: "
               f"{cell['aggregate_steps_per_s']:>11,} steps/s aggregate")
-    print(f"  batch serial baseline ({BATCH_BASELINE_SESSIONS} sessions): "
-          f"{session_batch['serial_baseline']['aggregate_steps_per_s']:,} steps/s "
-          f"-> {session_batch.get('speedup_vs_serial_x')}x batched")
     for shards, row in shard_scaling.items():
         for sessions, cell in row["sessions"].items():
             print(f"  {shards} shard(s) x {sessions:>2} sessions: "

@@ -39,7 +39,9 @@ streaming sources); adaptive adversaries, which pick each step's values
 from the node state, ``check=True`` runs, irregular outputs and
 algorithms that opt out of the contract call ``_step`` on every row.
 Every path ends in the same state, down to the pickle bytes
-(``tests/model/test_engine_scan.py``).
+(``tests/model/test_engine_scan.py``).  The service layer adds no
+second core: a cohort tick (:class:`~repro.service.session.SessionBatch`)
+is one executor hop over each member session's own ``advance``.
 
 Around the core (the sweep runner drives thousands of runs, see
 docs/ARCHITECTURE.md):
@@ -85,7 +87,7 @@ from repro.model.node import NodeArray
 from repro.model.protocol import MonitoringAlgorithm
 from repro.util.rngtools import make_rng
 
-__all__ = ["ValueSource", "MonitoringEngine", "EngineBatch", "RunResult"]
+__all__ = ["ValueSource", "MonitoringEngine", "RunResult"]
 
 #: Initial ``(T, k)`` output-buffer rows for open-ended runs (no
 #: ``expect_steps``); grown by doubling.
@@ -405,22 +407,6 @@ class MonitoringEngine:
         """The algorithm's fixed violation-free step cost (see protocol)."""
         return self.algorithm.quiet_step_rounds()
 
-    @property
-    def batchable(self) -> bool:
-        """Whether this engine can join an :class:`EngineBatch` right now.
-
-        Requires a started, live, regular-output, non-checking run of an
-        algorithm that declares a quiet-step cost — everything else falls
-        back to the serial per-engine path.
-        """
-        return (
-            self._started
-            and not self._finalized
-            and not self._irregular
-            and not self.check
-            and self.algorithm.quiet_step_rounds() is not None
-        )
-
     def current_output(self) -> frozenset[int] | None:
         """The algorithm's current ``F(t)`` (``None`` before step 0)."""
         if not self._started or self._t == 0:
@@ -551,21 +537,20 @@ class MonitoringEngine:
     def _record_quiet_steps(self, count: int, rounds_per_step: int) -> None:
         """Replay the bookkeeping of ``count`` violation-free steps at once.
 
-        The caller (the time-axis scan :meth:`_scan`, or the cross-session
-        :class:`EngineBatch`) already wrote the values into this engine's
-        node state and proved, step by step, that none of them violated
-        the standing filters — so the algorithm was never
-        entitled to act, the output is unchanged, and what remains of the
-        serial ``_step`` sequence is pure accounting: the ledger's
-        begin/rounds/end pattern, ``count`` repeats of the previous output
-        row, and the node-state version clock.  Must mirror ``_step``
-        exactly; checkpoints taken afterwards are asserted bit-identical
-        to serially-fed twins.
+        The caller, the time-axis scan :meth:`_scan`, already wrote the
+        last of the values into this engine's node state and proved, row
+        by row, that none of them violated the standing filters — so the
+        algorithm was never entitled to act, the output is unchanged, and
+        what remains of the per-row ``_step`` sequence is pure accounting:
+        the ledger's begin/rounds/end pattern, ``count`` repeats of the
+        previous output row, and the node-state version clock.  Must
+        mirror ``_step`` exactly; checkpoints taken afterwards are
+        asserted bit-identical to twins fed one row at a time.
         """
         if count <= 0:
             return
-        # Step 0 always escalates (on_start) and irregular members are
-        # never quiet again, so replay starts from a recorded prior step.
+        # Step 0 always escalates (on_start) and irregular runs are never
+        # quiet again, so replay starts from a recorded prior step.
         assert self._t > 0 and not self._irregular
         t = self._t
         self.ledger.record_quiet_steps(count, rounds_per_step)
@@ -621,120 +606,6 @@ class MonitoringEngine:
         ok, why = values_within_filters(self.nodes.values, self.nodes.filter_lo, self.nodes.filter_hi)
         if not ok:
             raise InvariantViolation(f"[t={t}] {self.algorithm.name} did not settle: {why}")
-
-
-class EngineBatch:
-    """Advance S same-width engines through one vectorized pass per step.
-
-    The multi-tenant fast path: member engines' node state is rebased onto
-    rows of shared ``(S, n)`` structure-of-arrays blocks (values, filter
-    bounds), so one numpy comparison per step classifies every session as
-    *quiet* (no node violates its filter — the algorithm, were it called,
-    would charge its fixed quiet cost and change nothing) or *escalated*.
-    Quiet sessions are advanced as pure bookkeeping in bulk
-    (:meth:`MonitoringEngine._record_quiet_steps`); escalated sessions run
-    the unmodified serial ``_step``, whose filter updates land directly in
-    the shared rows and are seen by the very next vectorized precheck.
-    Per member the observable state sequence is bit-identical to feeding
-    the same rows serially.
-
-    Members must be :attr:`~MonitoringEngine.batchable` and share ``n``;
-    nothing else (algorithm, k, eps, step cursor) needs to match — cohort
-    grouping beyond ``n`` is the service layer's policy, not a correctness
-    requirement.  A member whose step raises is deactivated with the
-    exception captured per member (its engine is left exactly as a serial
-    ``advance`` raising mid-block would leave it); the others proceed.
-
-    Call :meth:`close` (always — use ``try/finally``) to detach members
-    back to private arrays before they are checkpointed or reused.
-    """
-
-    def __init__(self, engines) -> None:
-        engines = list(engines)
-        if not engines:
-            raise ValueError("EngineBatch needs at least one engine")
-        n = engines[0].nodes.n
-        rounds = []
-        for engine in engines:
-            if engine.nodes.n != n:
-                raise ValueError(f"mixed widths in batch: {engine.nodes.n} != {n}")
-            if not engine.batchable:
-                raise ValueError("engine is not batchable; use the serial path")
-            rounds.append(engine.quiet_step_rounds())
-        S = len(engines)
-        self.engines = engines
-        self.n = n
-        self._values = np.empty((S, n), dtype=np.float64)
-        self._lo = np.empty((S, n), dtype=np.float64)
-        self._hi = np.empty((S, n), dtype=np.float64)
-        self._above = np.empty((S, n), dtype=bool)
-        self._below = np.empty((S, n), dtype=bool)
-        self._viol = np.empty((S, n), dtype=bool)
-        #: per-member quiet-step round cost (fixed for the batch's lifetime)
-        self._rps = np.asarray(rounds, dtype=np.int64)
-        #: quiet steps accumulated per member, not yet folded into engines
-        self._pending = np.zeros(S, dtype=np.int64)
-        # Step 0 must run on_start; irregular members re-arm this forever.
-        self._force = np.fromiter((e.steps_done == 0 for e in engines), dtype=bool, count=S)
-        self._active = np.ones(S, dtype=bool)
-        self._bound = True
-        for i, engine in enumerate(engines):
-            engine.nodes.bind_rows(self._values[i], self._lo[i], self._hi[i])
-
-    def advance_batch(self, blocks) -> list[Exception | None]:
-        """Consume one ``(B, n)`` block per member, lockstep by step.
-
-        All blocks must have the same row count (the caller segments
-        unequal feeds).  Returns one entry per member: ``None`` on
-        success, or the exception its serial ``_step`` raised (the member
-        is deactivated; its remaining rows are not consumed — the serial
-        ``advance`` contract).
-        """
-        if not self._bound:
-            raise RuntimeError("batch already closed")
-        S = len(self.engines)
-        if len(blocks) != S:
-            raise ValueError(f"expected {S} blocks, got {len(blocks)}")
-        # (B, S, n) with contiguous (S, n) slabs per step.
-        stacked = np.stack(blocks, axis=1).astype(np.float64, copy=False)
-        if stacked.ndim != 3 or stacked.shape[2] != self.n:
-            raise ValueError(f"blocks must be (B, {self.n}); stacked shape {stacked.shape}")
-        errors: list[Exception | None] = [None] * S
-        active, force, pending = self._active, self._force, self._pending
-        for step_vals in stacked:
-            np.greater(step_vals, self._hi, out=self._above)
-            np.less(step_vals, self._lo, out=self._below)
-            np.logical_or(self._above, self._below, out=self._viol)
-            escalate = (self._viol.any(axis=1) | force) & active
-            quiet = active & ~escalate
-            # Quiet members: land the values; bookkeeping is replayed in
-            # bulk when the member next escalates (or at block end).
-            np.copyto(self._values, step_vals, where=quiet[:, None])
-            pending[quiet] += 1
-            for i in np.flatnonzero(escalate):
-                engine = self.engines[i]
-                if pending[i]:
-                    engine._record_quiet_steps(int(pending[i]), int(self._rps[i]))
-                    pending[i] = 0
-                try:
-                    engine._step(step_vals[i], False)
-                except Exception as exc:  # noqa: BLE001 — per-member isolation
-                    errors[i] = exc
-                    active[i] = False
-                    continue
-                force[i] = engine._irregular
-        for i in np.flatnonzero(pending):
-            self.engines[i]._record_quiet_steps(int(pending[i]), int(self._rps[i]))
-            pending[i] = 0
-        return errors
-
-    def close(self) -> None:
-        """Detach every member back to private arrays (idempotent)."""
-        if not self._bound:
-            return
-        self._bound = False
-        for engine in self.engines:
-            engine.nodes.unbind()
 
 
 def _count_changes(rows: np.ndarray) -> int:

@@ -123,49 +123,16 @@ class NodeArray:
         self.version += 1
 
     # ------------------------------------------------------------------ #
-    # Structure-of-arrays binding (multi-session batch fast path)
+    # Bulk quiet replay (the engine's time-axis scan)
     # ------------------------------------------------------------------ #
-    def bind_rows(self, values_row: np.ndarray, lo_row: np.ndarray, hi_row: np.ndarray) -> None:
-        """Rebase state onto caller-owned row views of a ``(S, n)`` block.
-
-        :class:`~repro.model.engine.EngineBatch` points each member session
-        at one row of a shared structure-of-arrays block so that quiet
-        steps touch all sessions in a single vectorized pass.  Current
-        state is copied in and the arrays are swapped; every existing
-        mutator keeps working unchanged because they all write through
-        ``self.values``/``self.filter_lo``/``self.filter_hi`` in place.
-        Binding is invisible to the protocol (same contents, same version)
-        and must be undone with :meth:`unbind` before the array is
-        pickled or outlives the block.
-        """
-        values_row[:] = self.values
-        lo_row[:] = self.filter_lo
-        hi_row[:] = self.filter_hi
-        self.values = values_row
-        self.filter_lo = lo_row
-        self.filter_hi = hi_row
-        self._viol_version = -1
-
-    def unbind(self) -> None:
-        """Detach from a shared block by re-owning copies of the rows.
-
-        ``.copy()`` rather than ``np.ascontiguousarray``: row views of a
-        C-contiguous 2-D block are themselves contiguous, so the latter
-        would return the view unchanged and the "private" state would
-        keep aliasing the (about to be reused) block.
-        """
-        self.values = self.values.copy()
-        self.filter_lo = self.filter_lo.copy()
-        self.filter_hi = self.filter_hi.copy()
-        self._viol_version = -1
-
     def advance_version(self, count: int) -> None:
         """Bump the state version by ``count`` mutations at once.
 
-        The batch path's quiet-step replay delivers ``count`` steps of
-        values in bulk; the version must advance exactly as if
-        :meth:`deliver` had run once per step, so that checkpoints taken
-        afterwards are bit-identical to the serial path's.
+        The engine's quiet-step replay delivers ``count`` steps of values
+        at once (only the last row lands in :attr:`values`); the version
+        must advance exactly as if :meth:`deliver` had run once per step,
+        so that checkpoints taken afterwards are bit-identical to the
+        per-row path's.
         """
         self.version += int(count)
 

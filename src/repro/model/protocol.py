@@ -92,9 +92,8 @@ class MonitoringAlgorithm(ABC):
         charges exactly ``R`` protocol rounds, zero messages, draws no
         randomness from the channel RNG, and mutates no algorithm or
         filter state (so :meth:`output` is unchanged).  The engine's
-        time-axis scan (``MonitoringEngine._scan``) and its multi-session
-        batch path (:class:`repro.model.engine.EngineBatch`) rely on this
-        to replay quiet steps as pure bookkeeping without calling the
+        time-axis scan (``MonitoringEngine._scan``) relies on this to
+        replay quiet steps as pure bookkeeping without calling the
         algorithm — bit-identically to the per-row loop.
 
         ``None`` (the default) opts out: every step runs through

@@ -8,8 +8,8 @@ This package hosts them that way:
   (the algorithm-side twin of :mod:`repro.streams.registry`).
 - :mod:`repro.service.session` — :class:`Session`: one incremental run,
   fed in batches, queryable at any time, checkpoint/resumable; and
-  :class:`SessionBatch`: many same-cohort sessions advanced per
-  vectorized tick, bit-identical to feeding each alone.
+  :class:`SessionBatch`: the feeds of many same-cohort sessions served
+  as one tick (one executor hop over each session's own serial feed).
 - :mod:`repro.service.wire` — the wire protocols: v1 JSON lines and
   the v2 binary framing (raw float64/blob payloads, ``hello``
   negotiation), shared by every peer.

@@ -10,6 +10,10 @@ per-session throughput:
 - ``values_per_s`` — ``steps_per_s × n`` observations;
 - ``messages_per_step`` — the *algorithmic* cost of the monitored
   stream (what the paper bounds), per session and aggregated;
+- ``server_stats`` — the server's ``ping`` counters after the run
+  (``steps_ingested``, ``batched_ticks``, ``batched_steps``, ...): how
+  many fed steps coalesced into cohort ticks.  On a sharded server
+  these are the supervisor's own counters;
 - ``latency_ms`` — p50/p95/p99 *client-observed completion* latency
   (send → the client reading the response) pooled across every request
   of every worker.  Under pipelining an ack can sit in the socket
@@ -185,6 +189,11 @@ async def run_loadgen(
     wall_start = time.perf_counter()
     per_session = await asyncio.gather(*(bounded(i) for i in range(sessions)))
     wall = time.perf_counter() - wall_start
+    client = await AsyncServiceClient.connect(host, port, wire_protocol=wire_protocol)
+    try:
+        server_stats = (await client.ping())["stats"]
+    finally:
+        await client.aclose()
 
     total_steps = sum(row["steps"] for row in per_session)
     total_messages = sum(row["messages"] for row in per_session)
@@ -211,6 +220,7 @@ async def run_loadgen(
         "values_per_s": round(total_steps * n / wall) if wall else None,
         "messages_per_step": round(total_messages / total_steps, 3) if total_steps else None,
         "latency_ms": _latency_summary(all_latencies, session_latencies),
+        "server_stats": server_stats,
         "per_session": list(per_session),
     }
 

@@ -24,11 +24,11 @@ Design points:
   case: the stream cannot be resynchronized, so the server answers
   once and closes that connection.
 
-- **Cross-session batch ticks** — batchable feeds that arrive from
+- **Cohort ticks** — width-validated feeds that arrive from
   *different* connections while a tick is in flight coalesce on a
-  per-cohort gate and advance together through one vectorized
-  :class:`~repro.service.session.SessionBatch` pass (bit-identical per
-  session to the serial path; toggled at runtime by the ``batch`` op).
+  per-cohort gate and are served by one executor hop, a
+  :class:`~repro.service.session.SessionBatch` tick that runs each
+  session's own serial feed (toggled at runtime by the ``batch`` op).
   The per-session locks stay the serialization boundary: a feeder
   holds its session's lock for the whole tick it participates in.
 
@@ -140,8 +140,8 @@ class MonitoringServer:
         self._stop = asyncio.Event()
         self._connections: set[asyncio.Task] = set()
         #: Feed coalescing across connections (runtime-toggled by the
-        #: ``batch`` op).  Only batchable sessions with width-validated
-        #: blocks ever take the gate; everything else stays serial.
+        #: ``batch`` op).  Only width-validated blocks take the gate; the
+        #: rest go straight to the serial path, which raises the error.
         self.batching = True
         self._cohorts: dict[tuple, _CohortGate] = {}
         #: The ops-plane registry (admin endpoint, ``metrics`` op).  Its
@@ -611,7 +611,7 @@ class MonitoringServer:
             # single prevalidation verdict (the engine's revalidation is
             # skipped exactly when it passed).
             prevalidated = block.shape[1] == session.config.n
-            if self.batching and prevalidated and session.batchable:
+            if self.batching and prevalidated:
                 step, messages = await self._feed_batched(session, block)
             else:
                 step, messages = await self._feed_serial(session, block, prevalidated)
@@ -667,7 +667,7 @@ class MonitoringServer:
 
         The engine's scan tallies its quiet and escalated steps; with
         telemetry on, the deltas feed the same fleet counters as the
-        batched ticks.  The caller holds the session's slot lock, so no
+        cohort ticks.  The caller holds the session's slot lock, so no
         other feed moves the tallies in between.
         """
         engine = session.engine
@@ -700,28 +700,15 @@ class MonitoringServer:
         """Serve one cohort's queue until it runs dry.
 
         Feeds that arrive while a tick is in the executor coalesce into
-        the next tick — natural micro-batching, no timers.  A
-        single-entry tick takes the plain serial path (the lone-tenant
-        case pays no binding overhead).  Per-entry failures resolve that
-        entry's future with the same exception the serial path would
-        have raised; a crash of the drain itself fails every parked
-        future rather than stranding its feeders.
+        the next tick — natural micro-batching, no timers.  Per-entry
+        failures resolve that entry's future with the same exception the
+        serial path would have raised; a crash of the drain itself fails
+        every parked future rather than stranding its feeders.
         """
+        batch = gate.batch
         while gate.entries:
             entries, gate.entries = gate.entries, []
             try:
-                if len(entries) == 1:
-                    session, block, future = entries[0]
-                    try:
-                        result = await self._feed_serial(session, block, True)
-                    except Exception as exc:
-                        if not future.done():  # a dropped feeder cancels its future
-                            future.set_exception(exc)
-                    else:
-                        if not future.done():
-                            future.set_result(result)
-                    continue
-                batch = gate.batch
                 before_ticks, before_steps = batch.ticks, batch.batched_steps
                 before_esc, before_quiet = batch.escalated_steps, batch.quiet_steps
                 results = await self._run_sync(
@@ -729,8 +716,9 @@ class MonitoringServer:
                 )
                 self._c_batched_ticks.inc(batch.ticks - before_ticks)
                 self._c_batched_steps.inc(batch.batched_steps - before_steps)
-                self._c_escalated.inc(batch.escalated_steps - before_esc)
-                self._c_quiet.inc(batch.quiet_steps - before_quiet)
+                if self.metrics.enabled:
+                    self._c_escalated.inc(batch.escalated_steps - before_esc)
+                    self._c_quiet.inc(batch.quiet_steps - before_quiet)
                 for (_session, _block, future), result in zip(entries, results):
                     if future.done():  # a dropped feeder cancels its future
                         continue

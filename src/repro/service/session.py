@@ -40,7 +40,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from repro.model.engine import EngineBatch, MonitoringEngine, RunResult
+from repro.model.engine import MonitoringEngine, RunResult
 from repro.model.ledger import CostSnapshot
 from repro.service import algorithms
 from repro.streams import registry
@@ -277,30 +277,14 @@ class Session:
         return self.engine.ledger.messages
 
     @property
-    def batchable(self) -> bool:
-        """Whether feeds may take the cross-session batch path right now.
-
-        Push-mode, still open, and the engine reports a quiet-step cost —
-        everything else (workload mode, finalized, irregular outputs,
-        check mode, opt-out algorithms) stays on the serial path.
-        """
-        return (
-            self.config.workload is None
-            and self._result is None
-            and self.engine.batchable
-        )
-
-    @property
     def cohort_key(self) -> tuple:
-        """Sessions coalesce into one batch tick only within this key.
+        """Sessions coalesce into one cohort tick only within this key.
 
-        ``(algorithm, n, k, eps)`` — only ``n`` is a hard correctness
-        requirement of :class:`~repro.model.engine.EngineBatch`; the rest
-        keeps each tick's workload homogeneous so one slow protocol
-        cannot head-of-line-block an unrelated cohort.  The fifth cohort
-        component of the design — the wire-validated block width — is
-        enforced upstream: the server only routes a feed here after the
-        width == n prevalidation check passed.
+        ``(algorithm, n, k, eps)`` — a policy, not a correctness
+        requirement: every member of a tick runs its own serial feed, so
+        any sessions could share one.  The key keeps each tick's work
+        homogeneous, so one slow protocol cannot head-of-line-block an
+        unrelated cohort.
         """
         c = self.config
         return (c.algorithm, c.n, c.k, c.eps)
@@ -385,23 +369,22 @@ class Session:
 
 
 class SessionBatch:
-    """A cohort of same-shape push-mode sessions fed in vectorized ticks.
+    """A cohort of same-shape sessions whose feeds share one tick.
 
     The server keeps one ``SessionBatch`` per :attr:`Session.cohort_key`;
-    sessions :meth:`join` on their first batched feed and :meth:`leave`
-    when they finalize or close.  Membership is bookkeeping, not binding:
-    each :meth:`feed_batch` tick binds the participating engines into an
-    ephemeral :class:`~repro.model.engine.EngineBatch`, advances them in
-    lockstep, and unbinds before returning — so between ticks every
-    session owns private arrays and snapshot/restore/finalize see exactly
-    the state a serially-fed session would pickle (the checkpoint
-    determinism law holds by construction, no detach protocol needed).
+    sessions :meth:`join` on their first coalesced feed and :meth:`leave`
+    when they finalize or close.  A :meth:`feed_batch` tick is the serial
+    path run once per entry — each session advances through its own
+    engine's time-axis scan — so the server can serve a whole tick in
+    one executor hop.  Batched sessions therefore match serially fed
+    twins by construction, down to the checkpoint bytes.
     """
 
     def __init__(self, key: tuple) -> None:
         self.key = key
         self._members: dict[int, Session] = {}
-        #: vectorized ticks served / steps they advanced (server stats)
+        #: ticks that coalesced two or more feeds / steps those ticks
+        #: advanced (server stats)
         self.ticks = 0
         self.batched_steps = 0
         #: member-steps replayed as quiet bookkeeping vs run through the
@@ -433,71 +416,35 @@ class SessionBatch:
     def feed_batch(
         self, entries: list[tuple[Session, np.ndarray]]
     ) -> list[tuple[int, int] | Exception]:
-        """Advance one prevalidated ``(B_i, n)`` block per session.
+        """Feed one width-validated ``(B_i, n)`` block per session.
 
-        Blocks must already be float64, finite, and exactly ``n`` wide
-        (the server's shared prevalidation check).  Returns one result
-        per entry, positionally: ``(step, messages)`` on success or the
-        exception the serial path would have raised (the entry's session
-        is left exactly as a serial feed raising mid-block would leave
-        it).  Unequal block lengths are handled by segmenting on the
-        shortest remaining block; sessions that stop being batchable
-        mid-feed (e.g. an output turned irregular) finish on the serial
-        path.
+        Each entry is ``Session.feed(block, prevalidated=True)``: blocks
+        must already be float64, finite and ``n`` wide (the server's
+        shared prevalidation check).  Returns one result per entry,
+        positionally: ``(step, messages)`` on success or the exception
+        the feed raised, which leaves that session exactly as a serial
+        feed raising would and does not stop the other entries.
         """
         assert len({id(session) for session, _ in entries}) == len(entries), (
             "duplicate session in one tick — the per-session lock should prevent this"
         )
-        results: list[tuple[int, int] | Exception | None] = [None] * len(entries)
-        engines = [session.engine for session, _ in entries]
-        tallies = [(engine.quiet_steps, engine.escalated_steps) for engine in engines]
-
-        def finish_serial(idx: int, session: Session, tail: np.ndarray) -> None:
+        coalesced = len(entries) > 1
+        results: list[tuple[int, int] | Exception] = []
+        for session, block in entries:
+            engine = session.engine
+            step, quiet, escalated = engine.steps_done, engine.quiet_steps, engine.escalated_steps
             try:
-                session.feed(tail, prevalidated=True)
+                session.feed(block, prevalidated=True)
             except Exception as exc:  # noqa: BLE001 — per-entry isolation
-                results[idx] = exc
+                results.append(exc)
             else:
-                results[idx] = (session.step, session.messages)
-
-        live = [(idx, session, block, 0) for idx, (session, block) in enumerate(entries)]
-        while live:
-            ready = []
-            for idx, session, block, offset in live:
-                if session.batchable:
-                    ready.append((idx, session, block, offset))
-                else:
-                    finish_serial(idx, session, block[offset:])
-            if not ready:
-                break
-            if len(ready) == 1:
-                idx, session, block, offset = ready[0]
-                finish_serial(idx, session, block[offset:])
-                break
-            take = min(block.shape[0] - offset for _, _, block, offset in ready)
-            batch = EngineBatch([session.engine for _, session, _, _ in ready])
-            try:
-                errors = batch.advance_batch(
-                    [block[offset : offset + take] for _, _, block, offset in ready]
-                )
-            finally:
-                batch.close()
-            self.ticks += 1
-            live = []
-            for (idx, session, block, offset), error in zip(ready, errors):
-                if error is not None:
-                    results[idx] = error
-                    continue
-                self.batched_steps += take
-                offset += take
-                if offset >= block.shape[0]:
-                    results[idx] = (session.step, session.messages)
-                else:
-                    live.append((idx, session, block, offset))
-        for engine, (quiet, escalated) in zip(engines, tallies):
+                results.append((session.step, session.messages))
+            if coalesced:
+                self.batched_steps += engine.steps_done - step
             self.quiet_steps += engine.quiet_steps - quiet
             self.escalated_steps += engine.escalated_steps - escalated
-        return results  # type: ignore[return-value] — every slot was filled above
+        self.ticks += int(coalesced)
+        return results
 
 
 #: Builtin classes a checkpoint may reference (containers only — no

@@ -23,7 +23,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.model.engine import MonitoringEngine
+from repro.core import ApproxTopKMonitor, ExactTopKMonitor, SendAlwaysMonitor
+from repro.core.naive import SendOnChangeMonitor
+from repro.model.engine import _INITIAL_ROWS, MonitoringEngine
 from repro.model.protocol import MonitoringAlgorithm
 from repro.service import algorithms
 from repro.streams import registry
@@ -194,6 +196,70 @@ class TestPerRowPaths:
         ref = MonitoringEngine(plain_rows, WideOutput(), k=K)
         ref.run()
         assert pickled(scanned) == pickled(ref)
+
+
+class TestQuietStepRounds:
+    """The quiet-step contract's cost table: what one replayed step charges."""
+
+    @staticmethod
+    def started(algorithm):
+        engine = MonitoringEngine(None, algorithm, k=K, eps=EPS, n=N)
+        engine.start()
+        return engine
+
+    def test_existence_detector_costs_gamma_plus_one(self):
+        engine = self.started(ApproxTopKMonitor(K, EPS))
+        assert engine.quiet_step_rounds() == engine.channel.existence_rounds
+        assert engine.channel.existence_rounds == engine.channel._gamma + 1
+
+    def test_direct_detector_costs_one_round(self):
+        engine = self.started(ExactTopKMonitor(K, use_existence=False))
+        assert engine.quiet_step_rounds() == 1
+
+    def test_default_is_opt_out(self):
+        class Plain(MonitoringAlgorithm):
+            name = "plain"
+
+            def on_start(self):
+                pass
+
+            def on_step(self):
+                pass
+
+            def output(self):
+                return frozenset(range(K))
+
+        assert Plain().quiet_step_rounds() is None
+        assert SendAlwaysMonitor(K).quiet_step_rounds() is None
+
+    def test_send_on_change_uses_existence(self):
+        engine = self.started(SendOnChangeMonitor(K))
+        assert engine.quiet_step_rounds() == engine.channel.existence_rounds
+
+
+class TestQuietReplay:
+    def test_bulk_quiet_replay_outgrows_row_buffer(self):
+        """A quiet run longer than the row buffer must grow it correctly.
+
+        Two buffers: the open-ended one (``_INITIAL_ROWS`` rows), which
+        one scanned block outgrows, and one sized by ``expect_steps`` so
+        that it is exactly full when the scan's 1024-row window replays
+        — one doubling is then too small.  Either way the scanned engine
+        must pickle like a twin fed one row per ``advance``.
+        """
+        row = 50.0 + np.random.default_rng(7).permutation(N)
+        for expect_steps, T in ((None, _INITIAL_ROWS + 40), (_INITIAL_ROWS - 3, 2 * _INITIAL_ROWS)):
+            block = np.tile(row, (T, 1))  # after the start escalation, every row is quiet
+            scanned = make_engine("approx-monitor", None, record_outputs=True)
+            scanned.start(expect_steps=expect_steps)
+            scanned.advance(block, prevalidated=True)
+            assert (scanned.quiet_steps, scanned.escalated_steps) == (T - 1, 1)
+            twin = make_engine("approx-monitor", None, record_outputs=True)
+            twin.start(expect_steps=expect_steps)
+            for values in block:
+                twin.advance(values, prevalidated=True)
+            assert scanned.steps_done == twin.steps_done == T
+            assert pickle.dumps(scanned) == pickle.dumps(twin)
 
 
 class TestAdvanceShapes:

@@ -32,6 +32,7 @@ class TestLoadgen:
         assert len(report["per_session"]) == sessions
         assert report["steps_per_s"] > 0
         assert report["messages_per_step"] > 0
+        assert report["server_stats"]["steps_ingested"] == sessions * steps
         for row in report["per_session"]:
             assert row["steps"] == steps
             assert row["messages"] > 0

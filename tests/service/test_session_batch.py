@@ -3,12 +3,13 @@
 Three tiers of the same law:
 
 1. :class:`~repro.service.session.SessionBatch` — membership rules and
-   ``feed_batch`` ticks at S = 1, 16 and 257 (one non-batchable
-   straggler forcing the serial fallback inside a tick), compared
-   against serially-fed twin sessions on ``F(t)``, the cost snapshot
-   and the checkpoint **bytes**.
+   ``feed_batch`` ticks at S = 1, 16 and 257 (one opt-out straggler in
+   the tick), with unequal block lengths, and with workload-mode,
+   finalized and ``check=True`` members, compared against serially-fed
+   twin sessions on ``F(t)``, the cost snapshot and the checkpoint
+   **bytes** (or, for members a serial feed rejects, the same error).
 2. The server's cross-connection coalescing — concurrent feeds from
-   many connections land in vectorized ticks (``batched_ticks`` > 0)
+   many connections land in cohort ticks (``batched_ticks`` > 0)
    yet answer exactly what the in-process oracle answers.
 3. The ``batch`` wire op — runtime toggle, observables unmoved.
 
@@ -48,6 +49,13 @@ def walk_blocks(T, S, n=N, seed=0, jump_every=9):
     return [np.ascontiguousarray(data[:, i, :]) for i in range(S)]
 
 
+def assert_serial_error(result, twin: Session, block: np.ndarray):
+    """``result`` is the exception a serial feed of ``block`` raises."""
+    with pytest.raises(type(result)) as raised:
+        twin.feed(block.copy(), prevalidated=True)
+    assert str(result) == str(raised.value)
+
+
 def assert_twin(batched: Session, serial: Session):
     assert batched.step == serial.step
     assert batched.messages == serial.messages
@@ -72,21 +80,35 @@ class TestMembership:
         batch.leave(b)
         assert len(batch) == 0
 
-    def test_workload_sessions_are_not_batchable(self):
-        s = make_session(
-            {
-                "algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2,
-                "workload": "zipf", "num_steps": 16, "block_size": 8,
-            },
-            1,
-        )
-        assert not s.batchable
-
     def test_finalized_sessions_are_not_batchable(self):
-        s = make_session({"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}, 1)
-        assert s.batchable
+        """A tick advances a finalized member nothing; the server drops it."""
+        spec = {"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}
+        s = make_session(spec, 1)
+        batch = SessionBatch(s.cohort_key)
+        batch.join(s)
         s.finalize()
-        assert not s.batchable
+        [result] = batch.feed_batch([(s, walk_blocks(5, 1, n=4, seed=3)[0])])
+        assert isinstance(result, RuntimeError) and "finalized" in str(result)
+        assert s.step == 0
+        assert (batch.ticks, batch.batched_steps) == (0, 0)
+        assert (batch.quiet_steps, batch.escalated_steps) == (0, 0)
+
+        async def scenario():
+            server = MonitoringServer()
+            await server.start()
+            client = await AsyncServiceClient.connect(server.host, server.port)
+            try:
+                sid = (await client.request("create", spec={**spec, "seed": 1}))["session"]
+                await client.feed(sid, walk_blocks(5, 1, n=4, seed=3)[0])
+                roster = server._cohorts[s.cohort_key].batch
+                assert len(roster) == 1
+                await client.request("finalize", session=sid)
+                assert len(roster) == 0
+            finally:
+                await client.aclose()
+                await server.aclose()
+
+        asyncio.run(scenario())
 
 
 class TestCohortLaw:
@@ -123,7 +145,11 @@ class TestCohortLaw:
         assert batch.batched_steps == (S * T if S > 1 else 0)
 
     def test_s257_with_straggler_fallback(self):
-        """256 batchable members + one opt-out algorithm in the same tick."""
+        """256 scanning members + one opt-out straggler in the same tick.
+
+        The straggler's engine falls back to stepping every row, as it
+        would when fed alone.
+        """
         S, T = 256, 8
         spec = {"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}
         straggler_spec = {"algorithm": "send-always", "n": 4, "k": 1}
@@ -132,7 +158,7 @@ class TestCohortLaw:
         batched.append(make_session(straggler_spec, seed=0))
         serial = [make_session(spec, seed=i) for i in range(S)]
         serial.append(make_session(straggler_spec, seed=0))
-        assert not batched[-1].batchable  # forces the serial fallback path
+        assert batched[-1].engine.quiet_step_rounds() is None  # steps every row
         batch = SessionBatch(batched[0].cohort_key)
         results = batch.feed_batch(list(zip(batched, blocks)))
         for twin, block, result in zip(serial, blocks, results):
@@ -140,7 +166,8 @@ class TestCohortLaw:
             assert result == (step, twin.messages)
         for got, want in zip(batched, serial):
             assert_twin(got, want)
-        assert batch.batched_steps == S * T  # the straggler never batched
+        assert (batch.ticks, batch.batched_steps) == (1, (S + 1) * T)
+        assert batched[-1].engine.escalated_steps == T
 
     def test_unequal_block_lengths_segment(self):
         spec = {"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}
@@ -155,19 +182,52 @@ class TestCohortLaw:
             assert result == (step, twin.messages)
         for got, want in zip(batched, serial):
             assert_twin(got, want)
+        assert (batch.ticks, batch.batched_steps) == (1, sum(lengths))
 
     def test_finalized_member_surfaces_serial_error(self):
         spec = {"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}
         blocks = walk_blocks(6, 2, n=4, seed=4)
         alive, dead = make_session(spec, seed=0), make_session(spec, seed=1)
-        twin = make_session(spec, seed=0)
+        twin, dead_twin = make_session(spec, seed=0), make_session(spec, seed=1)
         dead.finalize()
+        dead_twin.finalize()
         batch = SessionBatch(alive.cohort_key)
         results = batch.feed_batch([(alive, blocks[0]), (dead, blocks[1])])
         step = twin.feed(blocks[0].copy())
         assert results[0] == (step, twin.messages)
-        assert isinstance(results[1], RuntimeError)  # "already finalized"
+        assert_serial_error(results[1], dead_twin, blocks[1])
         assert_twin(alive, twin)
+        assert batch.batched_steps == 6  # the finalized member advanced nothing
+
+    def test_workload_member_surfaces_serial_error(self):
+        push = {"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}
+        workload = {**push, "workload": "zipf", "num_steps": 16, "block_size": 8}
+        blocks = walk_blocks(6, 2, n=4, seed=6)
+        members = [make_session(push, seed=0), make_session(workload, seed=1)]
+        twins = [make_session(push, seed=0), make_session(workload, seed=1)]
+        batch = SessionBatch(members[0].cohort_key)
+        results = batch.feed_batch(list(zip(members, blocks)))
+        step = twins[0].feed(blocks[0].copy())
+        assert results[0] == (step, twins[0].messages)
+        assert_serial_error(results[1], twins[1], blocks[1])
+        for got, want in zip(members, twins):
+            assert_twin(got, want)
+
+    def test_check_member_matches_serial_twin(self):
+        """A ``check=True`` member steps every row in the tick, as alone."""
+        spec = {"algorithm": "approx-monitor", "n": 4, "k": 1, "eps": 0.2}
+        specs = [spec, {**spec, "check": True}]
+        blocks = walk_blocks(30, len(specs), n=4, seed=8)
+        members = [make_session(s, seed=i) for i, s in enumerate(specs)]
+        twins = [make_session(s, seed=i) for i, s in enumerate(specs)]
+        batch = SessionBatch(members[0].cohort_key)
+        results = batch.feed_batch(list(zip(members, blocks)))
+        for twin, block, result in zip(twins, blocks, results):
+            step = twin.feed(block.copy())
+            assert result == (step, twin.messages)
+        for got, want in zip(members, twins):
+            assert_twin(got, want)
+        assert members[1].engine.escalated_steps == 30
 
 
 def _drive_topology(shards: int):
