@@ -97,9 +97,9 @@ class MidpointCore(PhaseCore):
             self._interval = self._interval.clamp_below(violation.value)
             if self._reprobe and not self._interval.is_empty:
                 self._stats["reprobes"] = self._stats.get("reprobes", 0) + 1
-                others = np.setdiff1d(
-                    np.arange(self.channel.n, dtype=np.int64), self._top_ids
-                )
+                outside = np.ones(self.channel.n, dtype=bool)
+                outside[self._top_ids] = False
+                others = np.flatnonzero(outside)
                 with self.channel.ledger.scope("boundary_reprobe"):
                     probed = min_protocol(self.channel, exclude=others)
                 if probed is not None:

@@ -176,7 +176,9 @@ def two_filter_groups(
     from repro.util.intervals import Interval
 
     top_ids = np.asarray(top_ids, dtype=np.int64)
-    rest = np.setdiff1d(np.arange(n, dtype=np.int64), top_ids, assume_unique=False)
+    outside = np.ones(n, dtype=bool)
+    outside[top_ids] = False
+    rest = np.flatnonzero(outside)
     return [
         (rest, Interval.at_most(upper)),
         (top_ids, Interval.at_least(lower)),

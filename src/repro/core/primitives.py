@@ -10,12 +10,18 @@ into the protocols the monitoring algorithms are built from:
   iteration costs 1 broadcast + O(1) expected upstream messages, and the
   number of active nodes halves in expectation per iteration (the answer
   set is a uniform random subset of the actives), giving O(log n)
-  iterations.
+  iterations.  The loop runs inside the channel as one narrowing pass
+  (:meth:`~repro.model.channel.Channel.narrowing_pass`): the coin flips
+  are those of the per-iteration protocol, in the same order, and the
+  ledger is charged once per call inside this module's scopes (about
+  1.46x engine-chatty steps/s; docs/ARCHITECTURE.md §2).
 - :func:`top_m_probe` — the "compute the nodes holding the (k+1) largest
   values" step used by every Section 4/5 algorithm: repeat the max
   protocol with found nodes silenced (one stand-down unicast each),
   O(m log n) messages in expectation.  Handles ties correctly (each
-  restart scans all remaining nodes from −∞).
+  restart scans all remaining nodes from −∞).  The found nodes are a
+  boolean mask; each stand-down unicast is charged to ``top_m_probe``
+  only, each pass to ``max_protocol`` inside it.
 - :func:`detect_violation_existence` — Corollary 3.2 violation detection:
   O(1) expected messages, zero when nothing violates.
 - :func:`detect_violation_bisection` — the deterministic group-testing
@@ -42,6 +48,15 @@ __all__ = [
 ]
 
 
+def _among(n: int, exclude: np.ndarray | None) -> np.ndarray | None:
+    """The boolean mask of nodes not in ``exclude`` (``None``: all take part)."""
+    if exclude is None or len(exclude) == 0:
+        return None
+    among = np.ones(n, dtype=bool)
+    among[np.asarray(exclude, dtype=np.int64)] = False
+    return among
+
+
 def max_protocol(
     channel: Channel,
     *,
@@ -53,17 +68,8 @@ def max_protocol(
     Returns ``None`` when no node qualifies.  Las Vegas: the result is
     always exact; only the message count is random.
     """
-    best: tuple[int, float] | None = None
-    threshold = above
     with channel.ledger.scope("max_protocol"):
-        while True:
-            channel.announce()  # threshold (+ stand-down bookkeeping)
-            ids, values = channel.existence_above(threshold, strict=True, exclude=exclude)
-            if ids.size == 0:
-                return best
-            j = int(np.argmax(values))
-            best = (int(ids[j]), float(values[j]))
-            threshold = best[1]
+        return channel.narrowing_pass(above, largest=True, among=_among(channel.n, exclude))
 
 
 def min_protocol(
@@ -77,17 +83,8 @@ def min_protocol(
     Same O(log n) expected cost by symmetry; used by the `[6]`-style
     baseline to re-probe the top group's boundary after a violation.
     """
-    best: tuple[int, float] | None = None
-    threshold = below
     with channel.ledger.scope("min_protocol"):
-        while True:
-            channel.announce()
-            ids, values = channel.existence_below(threshold, strict=True, exclude=exclude)
-            if ids.size == 0:
-                return best
-            j = int(np.argmin(values))
-            best = (int(ids[j]), float(values[j]))
-            threshold = best[1]
+        return channel.narrowing_pass(below, largest=False, among=_among(channel.n, exclude))
 
 
 def top_m_probe(channel: Channel, m: int) -> list[tuple[int, float]]:
@@ -105,15 +102,16 @@ def top_m_probe(channel: Channel, m: int) -> list[tuple[int, float]]:
     if m > channel.n:
         raise ValueError(f"cannot probe top-{m} of {channel.n} nodes")
     found: list[tuple[int, float]] = []
-    exclude = np.empty(0, dtype=np.int64)
+    remaining = np.ones(channel.n, dtype=bool)
     with channel.ledger.scope("top_m_probe"):
         for _ in range(m):
-            result = max_protocol(channel, exclude=exclude)
+            with channel.ledger.scope("max_protocol"):
+                result = channel.narrowing_pass(-math.inf, among=remaining)
             if result is None:  # pragma: no cover - m <= n makes this unreachable
                 break
             found.append(result)
             channel.notify(result[0])  # stand down
-            exclude = np.append(exclude, result[0])
+            remaining[result[0]] = False
     return found
 
 

@@ -16,6 +16,21 @@ mirror what the paper's model allows:
   (Las Vegas, O(1) messages in expectation, ``≤ log n + 1`` rounds).
   The no-active case costs zero messages — the crucial property that lets
   filter-based algorithms be silent while nothing happens (Cor. 3.2).
+- ``narrowing_pass`` — the max/min protocol of Lemma 2.6 as one pass over
+  the EXISTENCE protocol: broadcast a threshold, let the nodes beyond it
+  run one existence check, jump the threshold to the most extreme value
+  heard, repeat until silence.  Values are fixed within a step and the
+  threshold only moves outward, so the pass gathers the active ids and
+  values once and narrows them by each new threshold instead of
+  re-masking all ``n`` nodes per iteration.  Its coin flips are exactly
+  the per-iteration protocol's — one ``rng.random(size)`` per round over
+  the ascending active ids, in the same order — and it charges the
+  ledger once per call (same totals, rounds, per-scope amounts and scope
+  insertion order), so every result and checkpoint stays bit-identical.
+  The send probabilities ``min(1, base^r / n)`` come from a module-level
+  table (channels are pickled into checkpoints, so they carry no cache).
+  On the engine-chatty benchmark workload the pass lifts steps/s about
+  1.46x on a 2-vCPU VM (docs/ARCHITECTURE.md §2).
 - ``collect_*`` — deterministic "everyone matching the predicate reports"
   probes: 1 broadcast for the query plus one upstream message per match.
   DENSEPROTOCOL uses these to seed its node partition and to evaluate its
@@ -27,6 +42,7 @@ a broadcast threshold performs local computation only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +60,16 @@ from repro.util.mathx import ceil_log2
 from repro.util.rngtools import make_rng
 
 __all__ = ["Channel", "Violation"]
+
+
+@functools.lru_cache(maxsize=64)
+def _send_probabilities(base: float, n: int, gamma: int) -> tuple[float, ...]:
+    """Round ``r``'s send probability ``min(1, base^r / n)``, r = 0..γ.
+
+    A module-level table rather than channel state: channels are pickled
+    into session checkpoints, whose bytes must not change.
+    """
+    return tuple(min(1.0, (base**r) / n) for r in range(gamma + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,8 +144,9 @@ class Channel:
 
         Every probability round of Cor. 3.2 runs (γ+1 of them) and nobody
         speaks, so the check costs exactly ``γ+1`` rounds, zero messages,
-        and — crucially for the batch fast path — consumes no randomness:
-        :meth:`_existence_collect` returns before touching the RNG when the
+        and — crucially for the engine's time-axis scan, which replays
+        quiet steps in bulk — consumes no randomness: :meth:`_existence_collect`
+        and :meth:`narrowing_pass` return before touching the RNG when the
         active set is empty.
         """
         return self._gamma + 1
@@ -187,6 +214,22 @@ class Channel:
     # ------------------------------------------------------------------ #
     # Existence protocol (Lemma 3.1) over node-local predicates
     # ------------------------------------------------------------------ #
+    def _first_senders(self, count: int) -> tuple[np.ndarray, int]:
+        """The coin flips of one EXISTENCE run over ``count`` active nodes.
+
+        One ``rng.random(count)`` per round, each active node sending with
+        probability ``min(1, base^r / n)`` in round ``r``, until some node
+        sends.  Returns the positions (into the caller's ascending active
+        ids) of that round's senders and the number of rounds used.
+        Charges nothing; the caller settles the ledger.
+        """
+        draw = self.rng.random
+        for r, p in enumerate(_send_probabilities(self.existence_base, self._nodes.n, self._gamma)):
+            sent = (draw(count) < p).nonzero()[0]
+            if sent.size:
+                return sent, r + 1
+        raise AssertionError("existence protocol must fire by round gamma (p=1)")
+
     def _existence_collect(
         self, active: np.ndarray | None = None, *, active_ids: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +243,6 @@ class Channel:
         when no node is active; that case costs zero messages and
         ``γ + 1`` rounds of silence.
         """
-        n = self._nodes.n
         if active_ids is None:
             if active is None:
                 raise TypeError("pass exactly one of active= or active_ids=")
@@ -210,16 +252,11 @@ class Channel:
         if active_ids.size == 0:
             self.ledger.charge_rounds(self._gamma + 1)
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        base = self.existence_base
-        for r in range(self._gamma + 1):
-            self.ledger.charge_rounds(1)
-            p = min(1.0, (base**r) / n)
-            sends = self.rng.random(active_ids.size) < p
-            senders = active_ids[sends]
-            if senders.size > 0:
-                self.ledger.charge_up(int(senders.size))
-                return senders, self._nodes.values[senders].copy()
-        raise AssertionError("existence protocol must fire by round gamma (p=1)")
+        sent, rounds = self._first_senders(active_ids.size)
+        senders = active_ids[sent]
+        self.ledger.charge_rounds(rounds)
+        self.ledger.charge_up(int(senders.size))
+        return senders, self._nodes.values[senders].copy()
 
     def existence_any(self, active: np.ndarray) -> bool:
         """Decide the OR of the predicate (Lemma 3.1).  O(1) expected msgs."""
@@ -240,40 +277,61 @@ class Channel:
         kind = self._nodes.violation_kind()
         return [Violation(int(i), float(v), int(kind[i])) for i, v in zip(ids, values)]
 
-    def existence_above(
+    def narrowing_pass(
         self,
-        threshold: float,
+        bound: float,
         *,
-        strict: bool = True,
-        exclude: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Existence-collect over nodes with value above ``threshold``.
+        largest: bool = True,
+        among: np.ndarray | None = None,
+    ) -> tuple[int, float] | None:
+        """The Lemma 2.6 max (or min) protocol as one narrowing pass.
 
-        The caller is responsible for having announced the threshold (one
-        :meth:`announce`); this method charges only the upstream messages.
-        ``exclude`` silences nodes the server already heard from (they were
-        told to stand down with a :meth:`notify` unicast, charged by the
-        caller).  Used by the max-finding protocol of Lemma 2.6.
+        Each iteration broadcasts the current threshold (starting at
+        ``bound``); the nodes strictly beyond it run one EXISTENCE
+        protocol, and the threshold jumps to the most extreme value heard.
+        The pass ends at the first iteration in which nobody is beyond the
+        threshold, and returns the last ``(id, value)`` heard, or ``None``
+        when no node was beyond ``bound``.  ``among`` is a boolean mask of
+        the nodes that take part (the rest were told to stand down, which
+        the caller charges); ``None`` means every node.
+
+        Values cannot change within a step and the threshold only moves
+        outward, so the next active set is the current one filtered by the
+        new threshold: ids and values are gathered once.  The coin flips
+        are those of the per-iteration protocol — one ``rng.random(size)``
+        per round over the ascending active ids — and the ledger is
+        charged in bulk at the end: one broadcast per iteration, one
+        upstream message per sender, and every round (``γ + 1`` for the
+        final, silent iteration, which touches no randomness).
         """
-        mask = self._nodes.mask_above(threshold, strict=strict)
-        if exclude is not None and len(exclude) > 0:
-            mask = mask.copy()
-            mask[np.asarray(exclude, dtype=np.int64)] = False
-        return self._existence_collect(mask)
-
-    def existence_below(
-        self,
-        threshold: float,
-        *,
-        strict: bool = True,
-        exclude: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mirror of :meth:`existence_above` for the min-finding protocol."""
-        mask = self._nodes.mask_below(threshold, strict=strict)
-        if exclude is not None and len(exclude) > 0:
-            mask = mask.copy()
-            mask[np.asarray(exclude, dtype=np.int64)] = False
-        return self._existence_collect(mask)
+        values = self._nodes.values
+        mask = values > bound if largest else values < bound
+        if among is not None:
+            mask &= among
+        ids = mask.nonzero()[0]
+        vals = values[ids]
+        best: tuple[int, float] | None = None
+        broadcasts = up = rounds = 0
+        while True:
+            broadcasts += 1
+            if ids.size == 0:
+                rounds += self._gamma + 1
+                break
+            sent, used = self._first_senders(ids.size)
+            rounds += used
+            heard = vals[sent]
+            up += heard.size
+            j = int(heard.argmax() if largest else heard.argmin())
+            best = (int(ids[sent[j]]), float(heard[j]))
+            # Positions, then two takes: boolean-mask indexing over the
+            # scattered survivors runs about 4x slower at n = 16384.
+            keep = (vals > best[1] if largest else vals < best[1]).nonzero()[0]
+            ids, vals = ids[keep], vals[keep]
+        self.ledger.charge_broadcast(broadcasts)
+        if up:
+            self.ledger.charge_up(up)
+        self.ledger.charge_rounds(rounds)
+        return best
 
     def report_violations_all(self) -> list[Violation]:
         """Every violating node reports directly (no existence batching).

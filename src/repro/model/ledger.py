@@ -237,15 +237,14 @@ class CostLedger:
             raise ValueError(f"negative message count {count}")
         setattr(self, attr, getattr(self, attr) + count)
         if self._scopes:
-            # Dedupe in stack order, not via ``set()``: set iteration is
-            # hash-randomized *per process*, which would make ``_by_scope``
-            # insertion order — and hence checkpoint blob bytes — differ
-            # between a worker process and an in-process oracle.
-            charged: set[str] = set()
-            for name in self._scopes:
-                if name not in charged:
-                    charged.add(name)
-                    self._by_scope[name] += count if scope_amount is None else scope_amount
+            # Dedupe in stack order (``dict.fromkeys``), not via ``set()``:
+            # set iteration is hash-randomized *per process*, which would
+            # make ``_by_scope`` insertion order — and hence checkpoint blob
+            # bytes — differ between a worker process and an in-process
+            # oracle.
+            amount = count if scope_amount is None else scope_amount
+            for name in dict.fromkeys(self._scopes):
+                self._by_scope[name] += amount
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -322,7 +321,8 @@ class CostLedger:
         the *first* ``begin_step()`` (subsequent ones see nothing late),
         ``count`` zeros appended to ``per_step``, the round counter and
         the max-rounds watermark, and ``_step_start_rounds`` as the last
-        step's starting point.  Used by the engine's batch fast path; any
+        step's starting point.  Used by the engine's time-axis scan
+        (``MonitoringEngine._scan``) to replay a run of quiet steps; any
         divergence from the serial sequence here breaks checkpoint
         bit-identity.
         """

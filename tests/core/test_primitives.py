@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.primitives import (
     detect_violation_bisection,
@@ -14,7 +16,7 @@ from repro.core.primitives import (
     top_m_probe,
 )
 from repro.model.channel import Channel
-from repro.model.ledger import CostLedger
+from repro.model.ledger import CostLedger, CostSnapshot
 from repro.model.node import NodeArray
 from repro.util.intervals import Interval
 
@@ -203,3 +205,167 @@ class TestBisectionDetection:
             detect_violation_bisection(ch2)
             cost_bisect += led2.messages
         assert cost_bisect > 3 * cost_exist
+
+
+# ---------------------------------------------------------------------- #
+# The narrowing-pass law: the one-pass protocols equal the per-round loops
+# ---------------------------------------------------------------------- #
+# Reference copies of the per-round loops the narrowing pass replaced:
+# every iteration re-announces, re-masks all n nodes and charges each
+# round as it happens.  They are the oracle for the law test below.
+
+
+def _ref_existence(channel, mask):
+    n = channel.n
+    active_ids = np.flatnonzero(mask)
+    if active_ids.size == 0:
+        channel.ledger.charge_rounds(channel._gamma + 1)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    for r in range(channel._gamma + 1):
+        channel.ledger.charge_rounds(1)
+        p = min(1.0, (channel.existence_base**r) / n)
+        sends = channel.rng.random(active_ids.size) < p
+        senders = active_ids[sends]
+        if senders.size > 0:
+            channel.ledger.charge_up(int(senders.size))
+            return senders, channel._nodes.values[senders].copy()
+    raise AssertionError("existence protocol must fire by round gamma (p=1)")
+
+
+def _ref_beyond(channel, threshold, exclude, largest):
+    values = channel._nodes.values
+    mask = values > threshold if largest else values < threshold
+    if exclude is not None and len(exclude) > 0:
+        mask = mask.copy()
+        mask[np.asarray(exclude, dtype=np.int64)] = False
+    return _ref_existence(channel, mask)
+
+
+def _ref_extreme(channel, bound, exclude, largest):
+    best = None
+    threshold = bound
+    with channel.ledger.scope("max_protocol" if largest else "min_protocol"):
+        while True:
+            channel.announce()
+            ids, values = _ref_beyond(channel, threshold, exclude, largest)
+            if ids.size == 0:
+                return best
+            j = int(np.argmax(values) if largest else np.argmin(values))
+            best = (int(ids[j]), float(values[j]))
+            threshold = best[1]
+
+
+def _ref_top_m(channel, m):
+    found = []
+    exclude = np.empty(0, dtype=np.int64)
+    with channel.ledger.scope("top_m_probe"):
+        for _ in range(m):
+            result = _ref_extreme(channel, -math.inf, exclude, True)
+            found.append(result)
+            channel.notify(result[0])
+            exclude = np.append(exclude, result[0])
+    return found
+
+
+class DrawLog:
+    """Generator stand-in that logs each ``random(size)`` draw.
+
+    With a ``budget`` it fails on the first draw past it, so code that
+    flips more coins than the reference (or never stops) fails fast.
+    """
+
+    def __init__(self, rng, budget=None):
+        self.rng = rng
+        self.sizes = []
+        self.budget = budget
+
+    def random(self, size):
+        self.sizes.append(size)
+        if self.budget is not None and len(self.sizes) > self.budget:
+            raise AssertionError("more coin flips than the per-round reference")
+        return self.rng.random(size)
+
+
+def _run_ops(values_seed, n, pool, base, ops, *, reference, budget=None):
+    """Drive ``ops`` on one channel; everything the law compares."""
+    rng = np.random.default_rng(values_seed)
+    nodes = NodeArray(n)
+    ledger = CostLedger()
+    channel = Channel(nodes, ledger, rng, existence_base=base)
+    draws = DrawLog(rng, budget)
+    channel.rng = draws
+    results = []
+    for op, bound, exclude, m in ops:
+        # The values come from the channel's own generator, as in exp_max.
+        nodes.deliver((rng.permutation(n) % pool).astype(float))
+        ledger.begin_step()
+        if op == "top":
+            results.append((_ref_top_m if reference else top_m_probe)(channel, m))
+        elif op == "any":
+            mask = np.zeros(n, dtype=bool)
+            mask[exclude] = True
+            if reference:
+                results.append(_ref_existence(channel, mask)[0].size > 0)
+            else:
+                results.append(channel.existence_any(mask))
+        elif reference:
+            results.append(_ref_extreme(channel, bound, exclude, op == "max"))
+        elif op == "max":
+            results.append(max_protocol(channel, above=bound, exclude=exclude))
+        else:
+            results.append(min_protocol(channel, below=bound, exclude=exclude))
+        ledger.end_step()
+    return (
+        results,
+        ledger.snapshot(),
+        list(ledger.by_scope().items()),
+        ledger.max_rounds_per_step,
+        ledger.per_step.tolist(),
+        draws.sizes,
+        rng.bit_generator.state,
+    )
+
+
+@st.composite
+def protocol_calls(draw):
+    n = draw(st.integers(2, 300))
+    pool = draw(st.integers(1, n))  # pool < n gives tied values
+    base = draw(st.sampled_from([2.0, 1.5, 3.0]))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["max", "min", "top", "any"]))
+        exclude = np.array(
+            draw(st.lists(st.integers(0, n - 1), max_size=min(n, 12))), dtype=np.int64
+        )
+        if op != "any" and draw(st.booleans()):  # "any" reads the ids as its active set
+            exclude = None
+        default = -math.inf if op == "max" else math.inf
+        bound = draw(st.one_of(st.just(default), st.integers(-1, pool).map(float)))
+        ops.append((op, bound, exclude, draw(st.integers(1, min(n, 6)))))
+    return n, pool, base, ops
+
+
+class TestNarrowingPassLaw:
+    @settings(max_examples=150, deadline=None)
+    @given(calls=protocol_calls(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_round_loops(self, calls, seed):
+        n, pool, base, ops = calls
+        expected = _run_ops(seed, n, pool, base, ops, reference=True)
+        got = _run_ops(seed, n, pool, base, ops, reference=False, budget=len(expected[5]))
+        names = ("results", "snapshot", "by_scope", "max_rounds", "per_step", "draws", "rng")
+        for name, want, have in zip(names, expected, got):
+            assert have == want, name
+
+    @pytest.mark.parametrize("base", [2.0, 1.5, 3.0])
+    def test_empty_active_set_touches_no_rng(self, base):
+        rng = np.random.default_rng(4)
+        nodes = NodeArray(64)
+        nodes.deliver(rng.permutation(64).astype(float))
+        ledger = CostLedger()
+        channel = Channel(nodes, ledger, rng, existence_base=base)
+        before = rng.bit_generator.state
+        assert channel.narrowing_pass(63.0) is None
+        assert channel.narrowing_pass(0.0, largest=False) is None
+        assert channel.narrowing_pass(-math.inf, among=np.zeros(64, dtype=bool)) is None
+        assert rng.bit_generator.state == before
+        assert ledger.snapshot() == CostSnapshot(0, 0, 3, 3 * channel.existence_rounds)

@@ -128,10 +128,11 @@ class TestExistence:
         assert seen_kinds == {VIOLATION_ABOVE, VIOLATION_BELOW}
 
     def test_existence_above_with_exclusion(self):
-        ch, _, _ = make_channel([5.0, 10.0, 20.0])
-        ids, values = ch.existence_above(1.0, exclude=np.array([1, 2]))
-        assert set(ids.tolist()) <= {0}
-        assert all(v == 5.0 for v in values)
+        ch, _, led = make_channel([5.0, 10.0, 20.0])
+        among = np.array([True, False, False])
+        assert ch.narrowing_pass(1.0, among=among) == (0, 5.0)
+        # Two threshold broadcasts (1.0, then 5.0) and node 0's one reply.
+        assert (led.broadcasts, led.node_to_server) == (2, 1)
 
 
 class TestCollect:

@@ -20,19 +20,21 @@ def make_channel(values, seed=0, **kwargs):
 class TestExistenceBelow:
     def test_collects_only_below(self):
         ch, _, _ = make_channel([1.0, 5.0, 9.0])
-        ids, values = ch.existence_below(5.0)
-        assert set(ids.tolist()) <= {0}
-        assert all(v == 1.0 for v in values)
+        assert ch.narrowing_pass(5.0, largest=False) == (0, 1.0)
 
-    def test_nonstrict_and_exclude(self):
-        ch, _, _ = make_channel([1.0, 5.0, 9.0])
-        ids, _ = ch.existence_below(5.0, strict=False, exclude=np.array([0]))
-        assert set(ids.tolist()) <= {1}
+    def test_strict_and_exclude(self):
+        ch, _, led = make_channel([1.0, 5.0, 9.0])
+        among = np.array([False, True, True])
+        # Node 1 sits on the threshold (strict: silent); node 0 stood down.
+        assert ch.narrowing_pass(5.0, largest=False, among=among) is None
+        assert ch.narrowing_pass(6.0, largest=False, among=among) == (1, 5.0)
+        assert led.node_to_server == 1
 
     def test_silent_is_free(self):
         ch, _, led = make_channel([5.0, 9.0])
-        ids, _ = ch.existence_below(1.0)
-        assert ids.size == 0 and led.messages == 0
+        assert ch.narrowing_pass(1.0, largest=False) is None
+        # The threshold broadcast is the only message.
+        assert led.messages == 1 and led.node_to_server == 0
 
 
 class TestReportViolationsAll:
